@@ -18,8 +18,10 @@ func batchTestConfigs(t *testing.T) map[string]*Filter {
 		t.Fatal(err)
 	}
 	fs["tuned"] = tuned
+	// A 48-bit domain puts the exact layer (level ΣDeltas = 25) at 2^23
+	// bits, inside MaxTotalBits.
 	manual, err := New(Config{
-		Domain:       64,
+		Domain:       48,
 		Deltas:       []int{7, 6, 7, 5},
 		Replicas:     []int{2, 1, 1, 2},
 		SegmentOf:    []int{0, 0, 1, 1},

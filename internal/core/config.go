@@ -28,6 +28,13 @@ import (
 // Δ = 7 yields 64-bit words, the widest word a single uint64 access covers.
 const MaxDelta = 7
 
+// MaxTotalBits caps a filter's total memory, the exact layer plus every
+// probabilistic segment, at 2^36 bits (8 GiB). Bit arrays are allocated
+// eagerly, so a config past what the host can back must be refused by
+// Validate: a failed allocation is a fatal runtime error, not an error New
+// could return.
+const MaxTotalBits = 1 << 36
+
 // DefaultMaxScanGroups bounds the number of hashed word groups a single
 // range decomposition check may probe at the top layer. Queries whose
 // top-layer middle run exceeds the bound return "maybe" (a conservative
@@ -130,9 +137,6 @@ func (c *Config) Validate() error {
 	if sum > c.Domain {
 		return fmt.Errorf("core: ΣDeltas=%d exceeds domain %d", sum, c.Domain)
 	}
-	if c.Exact && c.Domain-sum > 40 {
-		return fmt.Errorf("core: exact bitmap of 2^%d bits is unreasonably large", c.Domain-sum)
-	}
 	if c.Replicas != nil {
 		if len(c.Replicas) != k {
 			return fmt.Errorf("core: len(Replicas)=%d, want %d", len(c.Replicas), k)
@@ -146,10 +150,21 @@ func (c *Config) Validate() error {
 	if len(c.SegBits) == 0 {
 		return errors.New("core: need at least one segment")
 	}
+	var total uint64
+	if c.Exact {
+		total = 1 << uint(c.Domain-sum) // Domain−ΣDeltas ≤ 63: every Δ ≥ 1
+		if total > MaxTotalBits {
+			return fmt.Errorf("core: exact bitmap of 2^%d bits exceeds the %d-bit memory cap", c.Domain-sum, uint64(MaxTotalBits))
+		}
+	}
 	for s, b := range c.SegBits {
 		if b == 0 || b%64 != 0 {
 			return fmt.Errorf("core: SegBits[%d]=%d must be a positive multiple of 64", s, b)
 		}
+		if b > MaxTotalBits-total {
+			return fmt.Errorf("core: exact layer plus segments exceed the %d-bit memory cap", uint64(MaxTotalBits))
+		}
+		total += b
 	}
 	if c.SegmentOf != nil {
 		if len(c.SegmentOf) != k {

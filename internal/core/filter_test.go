@@ -174,6 +174,13 @@ func TestConfigValidate(t *testing.T) {
 		{Domain: 65, Deltas: []int{7}, SegBits: []uint64{64}},                                                   // domain too big
 		{Domain: 64, Deltas: []int{7, 7}, SegBits: []uint64{64, 64}, SegmentOf: []int{0, -1}},                   // negative seg
 		{Domain: 64, Deltas: []int{7, 7}, SegBits: []uint64{64}, SegmentOf: []int{0, 0}, Replicas: []int{1, 0}}, // r<1
+		// Over MaxTotalBits: an exact layer of 2^39 bits (level 25 of a 64-bit domain), ...
+		{Domain: 64, Deltas: []int{7, 6, 7, 5}, Replicas: []int{2, 1, 1, 2}, SegmentOf: []int{0, 0, 1, 1},
+			SegBits: []uint64{1 << 17, 1 << 15}, Exact: true, PermuteWords: true},
+		// ... an exact layer at the cap plus one segment, segments over the cap, a segment sum that wraps
+		{Domain: 43, Deltas: []int{7}, SegBits: []uint64{64}, Exact: true},
+		{Domain: 64, Deltas: []int{7, 7}, SegBits: []uint64{MaxTotalBits / 2, MaxTotalBits/2 + 64}, SegmentOf: []int{0, 1}},
+		{Domain: 64, Deltas: []int{7, 7}, SegBits: []uint64{1 << 63, 1 << 63}, SegmentOf: []int{0, 1}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -184,6 +191,10 @@ func TestConfigValidate(t *testing.T) {
 		SegmentOf: []int{0, 0, 1, 1}, Replicas: []int{1, 1, 1, 2}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
+	}
+	atCap := Config{Domain: 64, Deltas: []int{7, 7}, SegBits: []uint64{MaxTotalBits / 2, MaxTotalBits / 2}, SegmentOf: []int{0, 1}}
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("config of exactly MaxTotalBits rejected: %v", err)
 	}
 	if got, want := good.TotalBits(), uint64(5120); got != want {
 		t.Errorf("TotalBits = %d, want %d", got, want)

@@ -105,21 +105,39 @@ type batchScratch struct {
 	// every mark a no-op for callers that use the public batch APIs
 	// without tracing.
 	tr obs.Trace
+
+	// bulkUses counts the recycles of this scratch while it held more than
+	// bulkScratchBytes (putScratch).
+	bulkUses int
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 func getScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) }
 
-// maxRetainedScratchBytes caps how much buffer capacity one scratch may
-// carry back into the pool. Buffers grow to the largest request they ever
-// served, and a pooled scratch is reachable for as long as traffic keeps
-// recycling it — without a cap, one worst-case request (a MaxBatch
-// hash-mode range batch sizes flatOut at shards × ranges) would pin
-// hundreds of MiB per P forever (golang.org/issue/23199). 8 MiB keeps
-// every routine large batch pooled; monsters are rebuilt on their next
-// appearance, which is what the old per-request make() did on every one.
-const maxRetainedScratchBytes = 8 << 20
+// Retention policy. A scratch's buffers grow to the largest request it
+// ever served, and a pooled scratch stays reachable for as long as traffic
+// keeps recycling it (golang.org/issue/23199), so putScratch enforces two
+// limits:
+//
+//   - A scratch above maxRetainedScratchBytes is never pooled: one
+//     worst-case request (a MaxBatch hash-mode range batch sizes flatOut
+//     at shards × ranges) would otherwise pin hundreds of MiB per P.
+//     Monsters are rebuilt on their next appearance, which is what the old
+//     per-request make() did on every one.
+//   - A scratch above bulkScratchBytes (a batch of ~16k keys or more) is
+//     recycled at most maxBulkUses times. A bulk load of 64k-key batches
+//     regrows its buffers once per 64 batches, while ordinary traffic
+//     after it stops carrying them within 64 requests. Without this, once
+//     the JSON codec stopped producing garbage and collections came
+//     seconds apart, the scratches of a 64k-key preload stayed in the pool
+//     for the life of the process: 3 MiB more live heap and, at GOGC=100,
+//     6 MiB more resident set on a 2 MiB filter.
+const (
+	maxRetainedScratchBytes = 8 << 20
+	bulkScratchBytes        = 1 << 20
+	maxBulkUses             = 64
+)
 
 // retainedBytes approximates the scratch's total buffer capacity.
 func (sc *batchScratch) retainedBytes() int {
@@ -129,16 +147,27 @@ func (sc *batchScratch) retainedBytes() int {
 		8*cap(sc.flatKeys) + 16*cap(sc.flatRanges) + 8*cap(sc.flatPos) + cap(sc.flatOut)
 }
 
-// putScratch recycles sc unless its buffers outgrew the retention cap, in
-// which case it is left for the garbage collector. The trace is disarmed
-// either way: a handler that errored out mid-request leaves its trace
-// armed, and the next checkout must not accumulate into that stale state.
+// putScratch recycles sc unless the retention policy above says to leave
+// it for the garbage collector. The trace is disarmed either way: a
+// handler that errored out mid-request leaves its trace armed, and the
+// next checkout must not accumulate into that stale state.
 func putScratch(sc *batchScratch) {
 	sc.tr.Disarm()
-	if sc.retainedBytes() > maxRetainedScratchBytes {
-		return
+	if sc.recyclable() {
+		batchScratchPool.Put(sc)
 	}
-	batchScratchPool.Put(sc)
+}
+
+// recyclable applies the retention policy, counting a bulk-sized recycle.
+func (sc *batchScratch) recyclable() bool {
+	switch n := sc.retainedBytes(); {
+	case n > maxRetainedScratchBytes:
+		return false
+	case n > bulkScratchBytes:
+		sc.bulkUses++
+		return sc.bulkUses <= maxBulkUses
+	}
+	return true
 }
 
 // grown returns s resized to n, reallocating only when capacity is short.

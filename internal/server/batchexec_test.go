@@ -79,10 +79,11 @@ func TestSkewedBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestScratchPoolRetentionCap pins the pool-hygiene rule: a scratch whose
+// TestScratchPoolRetentionCap pins the pool-hygiene rules: a scratch whose
 // buffers outgrew the cap is dropped rather than recycled, so one
-// worst-case request cannot pin its buffers in the pool forever, while
-// ordinary scratches keep circulating.
+// worst-case request cannot pin its buffers in the pool forever; a
+// bulk-sized one is recycled only maxBulkUses times; ordinary scratches
+// keep circulating.
 func TestScratchPoolRetentionCap(t *testing.T) {
 	small := &batchScratch{keys: make([]uint64, 1<<10)}
 	if small.retainedBytes() > maxRetainedScratchBytes {
@@ -106,5 +107,17 @@ func TestScratchPoolRetentionCap(t *testing.T) {
 	putScratch(got)
 	for _, sc := range drained {
 		putScratch(sc)
+	}
+	bulk := &batchScratch{keys: make([]uint64, bulkScratchBytes/8+1)}
+	for i := 0; i < maxBulkUses; i++ {
+		if !bulk.recyclable() {
+			t.Fatalf("bulk scratch refused at recycle %d, limit %d", i+1, maxBulkUses)
+		}
+	}
+	if bulk.recyclable() {
+		t.Fatalf("bulk scratch recycled past the limit %d", maxBulkUses)
+	}
+	if !small.recyclable() || small.bulkUses != 0 {
+		t.Fatal("a routine scratch must always be recyclable, uncounted")
 	}
 }

@@ -13,12 +13,12 @@ import (
 
 // Binary batch handlers: the application/x-bloomrf-batch content type on
 // the insert, query and query-range endpoints. JSON stays the default —
-// a request that does not declare the binary content type is decoded
-// exactly as before — but a client that does gets the wire package's
-// framed codec end to end: the request payload is raw little-endian
-// keys/ranges, the response a verdict bitmap (or an ack), and the whole
-// round trip reuses one pooled batchScratch, so a warm request allocates
-// nothing on the heap. Error responses stay JSON on every endpoint (they
+// a request that does not declare the binary content type goes to the
+// JSON batch codec (jsonbatch.go) — but a client that does gets the wire
+// package's framed codec end to end: the request payload is raw
+// little-endian keys/ranges, the response a verdict bitmap (or an ack),
+// and the whole round trip reuses one pooled batchScratch, so a warm
+// request allocates nothing on the heap. Error responses stay JSON on every endpoint (they
 // are off the hot path, and a JSON body is strictly more debuggable than
 // a binary one).
 //
@@ -45,14 +45,15 @@ func isBinaryBatch(r *http.Request) bool {
 	return len(ct) == n || ct[n] == ';' || ct[n] == ' '
 }
 
-// serveBinaryFast routes a binary batch request without going through the
-// ServeMux, reporting whether it claimed the request. The generic router
-// allocates its wildcard-match slice on every request it routes, which
-// would be the one remaining per-request allocation on the binary hot
-// path; substring-slicing the URL path costs nothing. Requests it does not
-// recognize (foreign paths, names containing a slash) fall through to the
-// mux and get exactly the old behavior.
-func (a *API) serveBinaryFast(w http.ResponseWriter, r *http.Request) bool {
+// serveBatchFast routes an insert, query or query-range request of either
+// codec without going through the ServeMux, reporting whether it claimed
+// the request. The generic router allocates its wildcard-match slice on
+// every request it routes, which would be the one remaining per-request
+// allocation on the batch hot path; substring-slicing the URL path costs
+// nothing. Requests it does not recognize (other endpoints, a name
+// segment the mux would clean or unescape) fall through to the mux, whose
+// batch routes end in the same serveBatch.
+func (a *API) serveBatchFast(w http.ResponseWriter, r *http.Request) bool {
 	const prefix = "/v1/filters/"
 	path := r.URL.Path
 	if r.Method != http.MethodPost || !strings.HasPrefix(path, prefix) {
@@ -63,35 +64,54 @@ func (a *API) serveBinaryFast(w http.ResponseWriter, r *http.Request) bool {
 	if i <= 0 {
 		return false
 	}
-	name, op := rest[:i], rest[i+1:]
-	if strings.IndexByte(name, '/') >= 0 {
-		return false
+	name := rest[:i]
+	if strings.IndexByte(name, '/') >= 0 || name == "." || name == ".." {
+		return false // the mux cleans or unescapes these paths
 	}
-	switch op {
-	case "insert", "query", "query-range":
+	var op latOp
+	switch rest[i+1:] {
+	case "insert":
+		op = opInsert
+	case "query":
+		op = opQuery
+	case "query-range":
+		op = opQueryRange
 	default:
 		return false
 	}
-	// Gate before lookup, mirroring the JSON path: an unauthenticated
-	// insert must answer 401 whether or not the filter exists, or the 404
-	// would let clients enumerate filter names without the token.
-	if op == "insert" && !a.allowMutation(w, r) {
-		return true
+	a.serveBatch(w, r, name, op)
+	return true
+}
+
+// serveBatch gates, resolves and dispatches one batch request to its
+// codec's handler. Inserts are gated before the lookup: an
+// unauthenticated insert must answer 401 whether or not the filter
+// exists, or the 404 would let clients enumerate filter names without the
+// token.
+func (a *API) serveBatch(w http.ResponseWriter, r *http.Request, name string, op latOp) {
+	if op == opInsert && !a.allowMutation(w, r) {
+		return
 	}
 	f, err := a.reg.Get(name)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "filter %q not found", name)
-		return true
+		return
 	}
-	switch op {
-	case "insert":
+	bin := isBinaryBatch(r)
+	switch {
+	case op == opInsert && bin:
 		a.handleInsertBinary(w, r, f, name)
-	case "query":
+	case op == opInsert:
+		a.handleInsertJSON(w, r, f, name)
+	case op == opQuery && bin:
 		a.handleQueryBinary(w, r, f, name)
-	case "query-range":
+	case op == opQuery:
+		a.handleQueryJSON(w, r, f, name)
+	case bin:
 		a.handleQueryRangeBinary(w, r, f, name)
+	default:
+		a.handleQueryRangeJSON(w, r, f, name)
 	}
-	return true
 }
 
 // readBinaryFrame reads one request frame (header + payload) into sc.body
@@ -140,7 +160,7 @@ func decodeBadFrame(w http.ResponseWriter, err error) {
 }
 
 // handleInsertBinary is the binary-codec insert path. Mutation gating
-// (read-only / auth) happened before dispatch; name is the filter's
+// (read-only / auth) happened in serveBatch; name is the filter's
 // registry name (passed explicitly because the fast route bypasses the
 // mux's PathValue machinery).
 func (a *API) handleInsertBinary(w http.ResponseWriter, r *http.Request, f *ShardedFilter, name string) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -253,7 +254,7 @@ func (w *nullResponseWriter) Write(b []byte) (int, error) {
 }
 func (w *nullResponseWriter) WriteHeader(int) {}
 
-// rewindableBody replays the same frame bytes on every request without
+// rewindableBody replays the same body bytes on every request without
 // allocating a fresh reader.
 type rewindableBody struct {
 	data []byte
@@ -262,7 +263,7 @@ type rewindableBody struct {
 
 func (b *rewindableBody) Read(p []byte) (int, error) {
 	if b.off >= len(b.data) {
-		return 0, fmt.Errorf("EOF")
+		return 0, io.EOF
 	}
 	n := copy(p, b.data[b.off:])
 	b.off += n
@@ -270,9 +271,9 @@ func (b *rewindableBody) Read(p []byte) (int, error) {
 }
 func (b *rewindableBody) Close() error { return nil }
 
-// TestBinaryBatchZeroAlloc is the allocation regression gate of the binary
-// pipeline: once warm, a binary batch query, range query and insert (no
-// WAL) through the full handler path — body read, frame decode, shard
+// TestBinaryBatchZeroAlloc is the allocation regression gate of the batch
+// pipeline: once warm, a batch query, range query and insert (no WAL) of
+// either codec through the full handler path — body read, decode, shard
 // grouping, probe fan-in, response encode — must perform zero heap
 // allocations. A nonzero count here means a pooled buffer regressed into a
 // per-request allocation.
@@ -296,12 +297,20 @@ func TestBinaryBatchZeroAlloc(t *testing.T) {
 			insFrame := wire.AppendKeysRequest(nil, wire.OpInsert, keys)
 			qFrame := wire.AppendKeysRequest(nil, wire.OpQuery, keys)
 			rFrame := wire.AppendRangesRequest(nil, ranges)
+			keysJSON, _ := json.Marshal(map[string]any{"keys": keys})
+			rangeObjs := make([]map[string]uint64, len(ranges))
+			for i, r := range ranges {
+				rangeObjs[i] = map[string]uint64{"lo": r[0], "hi": r[1]}
+			}
+			rangesJSON, _ := json.Marshal(map[string]any{"ranges": rangeObjs})
 
 			run := func(name, path string, frame []byte) {
 				t.Helper()
 				body := &rewindableBody{data: frame}
 				req := httptest.NewRequest("POST", path, body)
-				req.Header.Set("Content-Type", wire.ContentType)
+				if !strings.HasPrefix(name, "json") {
+					req.Header.Set("Content-Type", wire.ContentType)
+				}
 				req.Body = body
 				w := &nullResponseWriter{h: make(http.Header)}
 				serve := func() {
@@ -321,6 +330,9 @@ func TestBinaryBatchZeroAlloc(t *testing.T) {
 			run("query", "/v1/filters/f/query", qFrame)
 			run("query-range", "/v1/filters/f/query-range", rFrame)
 			run("insert", "/v1/filters/f/insert", insFrame)
+			run("json query", "/v1/filters/f/query", keysJSON)
+			run("json query-range", "/v1/filters/f/query-range", rangesJSON)
+			run("json insert", "/v1/filters/f/insert", keysJSON)
 		})
 	}
 }

@@ -22,10 +22,10 @@ import (
 // docs/server.md. Every endpoint that takes keys has a single-key and a
 // batch shape in the same request body; batch shapes hit the filters'
 // zero-allocation batch paths. The insert/query/query-range endpoints
-// additionally content-negotiate: a request with Content-Type
+// content-negotiate: a request with Content-Type
 // application/x-bloomrf-batch is decoded by the binary wire codec
-// (internal/wire, handlers in binary.go) instead of encoding/json —
-// the high-throughput path, spec in docs/performance.md.
+// (internal/wire, handlers in binary.go), any other by the hand-written
+// JSON batch codec (jsonbatch.go). Every other body uses encoding/json.
 
 // MaxBatch bounds the number of keys or ranges in one request, as flood
 // protection; larger workloads should split into multiple requests.
@@ -201,7 +201,7 @@ func NewConfiguredAPI(reg *Registry, store *Store, cfg Config) *API {
 		mux: http.NewServeMux(), adm: newAdmission(cfg.MaxInflightBatches),
 		phases:      &phaseTable{},
 		skewAlerted: make(map[string]bool), skewChecked: make(map[string]int64),
-		closed:      make(chan struct{}),
+		closed: make(chan struct{}),
 	}
 	a.wlog.Store(cfg.WAL)
 	a.following.Store(cfg.Replication != nil)
@@ -218,9 +218,11 @@ func NewConfiguredAPI(reg *Registry, store *Store, cfg Config) *API {
 	a.mux.HandleFunc("GET /v1/filters", a.handleList)
 	a.mux.HandleFunc("GET /v1/filters/{name}", a.handleStats)
 	a.mux.HandleFunc("DELETE /v1/filters/{name}", a.handleDelete)
-	a.mux.HandleFunc("POST /v1/filters/{name}/insert", a.handleInsert)
-	a.mux.HandleFunc("POST /v1/filters/{name}/query", a.handleQuery)
-	a.mux.HandleFunc("POST /v1/filters/{name}/query-range", a.handleQueryRange)
+	for _, op := range []latOp{opInsert, opQuery, opQueryRange} {
+		a.mux.HandleFunc("POST /v1/filters/{name}/"+latOpNames[op], func(w http.ResponseWriter, r *http.Request) {
+			a.serveBatch(w, r, r.PathValue("name"), op)
+		})
+	}
 	a.mux.HandleFunc("POST /v1/filters/{name}/snapshot", a.handleSnapshot)
 	a.mux.HandleFunc("POST /v1/filters/{name}/split", a.handleSplit)
 	a.mux.HandleFunc("GET /v1/replication/stream", a.handleReplicationStream)
@@ -233,12 +235,12 @@ func NewConfiguredAPI(reg *Registry, store *Store, cfg Config) *API {
 // a primary, nil for a follower, the freshly seeded log after promotion.
 func (a *API) wal() *wal.Log { return a.wlog.Load() }
 
-// ServeHTTP implements http.Handler. Binary batch requests take an
-// allocation-free route around the mux (serveBinaryFast, binary.go);
-// everything else — including binary requests the fast route does not
-// recognize — goes through the mux as before.
+// ServeHTTP implements http.Handler. Batch requests of either codec take
+// an allocation-free route around the mux (serveBatchFast, binary.go);
+// everything else — including batch requests the fast route does not
+// recognize — goes through the mux.
 func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if isBinaryBatch(r) && a.serveBinaryFast(w, r) {
+	if a.serveBatchFast(w, r) {
 		return
 	}
 	a.mux.ServeHTTP(w, r)
@@ -354,24 +356,47 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decode reads the request body as JSON into v, rejecting unknown fields
-// and oversized bodies. An oversized body is a 413, not a generic 400: the
-// client's JSON may be perfectly well-formed, and "split the batch" is a
-// different fix than "fix the syntax".
+// decode reads the request body as one JSON value into v, rejecting
+// unknown fields, anything but whitespace after the value, and oversized
+// bodies (413, writeBodyError).
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d MiB limit; split the batch into smaller requests", maxBodyBytes>>20)
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
+	return decodeBody(w, r, v, false)
+}
+
+// decodeOptional is decode for endpoints whose body may be empty; an
+// empty body leaves v untouched.
+func decodeOptional(w http.ResponseWriter, r *http.Request, v any) bool {
+	return decodeBody(w, r, v, true)
+}
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	if err != nil && !(emptyOK && err == io.EOF) {
+		writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes exactly one JSON value from rd into v. Unknown
+// fields are errors, and so is anything but whitespace after the value:
+// json.Decoder stops after one value, which silently dropped the second
+// object of a body like {"keys":[1]} {"keys":[2]}. An empty input
+// returns io.EOF.
+func decodeStrict(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("unexpected data after the JSON value")
+	default:
+		return err
+	}
 }
 
 // lookup resolves the {name} path segment to a filter or writes a 404.
@@ -528,90 +553,6 @@ func (a *API) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// keysReq is the shared single-or-batch key payload: exactly one of "key"
-// and "keys" must be present.
-type keysReq struct {
-	Key  *U64  `json:"key"`
-	Keys []U64 `json:"keys"`
-}
-
-// keys validates the shape and returns the key list plus whether the
-// request used the single-key form.
-func (kr *keysReq) keys(w http.ResponseWriter) ([]uint64, bool, bool) {
-	if (kr.Key == nil) == (kr.Keys == nil) {
-		writeErr(w, http.StatusBadRequest, `provide exactly one of "key" and "keys"`)
-		return nil, false, false
-	}
-	if kr.Key != nil {
-		return []uint64{uint64(*kr.Key)}, true, true
-	}
-	if len(kr.Keys) > MaxBatch {
-		writeErr(w, http.StatusBadRequest, "batch of %d keys exceeds limit %d", len(kr.Keys), MaxBatch)
-		return nil, false, false
-	}
-	out := make([]uint64, len(kr.Keys))
-	for i, k := range kr.Keys {
-		out[i] = uint64(k)
-	}
-	return out, false, true
-}
-
-func (a *API) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if !a.allowMutation(w, r) {
-		return
-	}
-	f, ok := a.lookup(w, r)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if isBinaryBatch(r) {
-		a.handleInsertBinary(w, r, f, name)
-		return
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.tr.Start()
-	sc.tr.Enter(obs.PhaseAdmissionWait)
-	if !a.admit(w) {
-		return
-	}
-	defer a.adm.release()
-	defer f.observeLatency(opInsert, codecJSON, time.Now())
-	sc.tr.Enter(obs.PhaseDecode)
-	var req keysReq
-	if !decode(w, r, &req) {
-		return
-	}
-	keys, _, ok := req.keys(w)
-	if !ok {
-		return
-	}
-	// Apply first, append second (durability.go): concurrent inserts
-	// group-commit into one WAL write, and a snapshot that captured the
-	// log end P is guaranteed to contain every record below P. Without a
-	// WAL there is nothing to encode — skip building the record at all,
-	// like the binary path does. The apply+append pair runs inside the
-	// filter's mutation drain gate so a concurrent span split can prove
-	// every straggler's record is in the log before it backfills
-	// (split.go phase 5).
-	f.beginApply()
-	f.insertBatchWith(keys, sc)
-	if a.wal() != nil {
-		sc.tr.Enter(obs.PhaseWALAppend)
-		rec, encErr := encodeInsert(name, keys)
-		if !a.logWALTraced(w, rec, encErr, &sc.tr) {
-			f.endApply()
-			return
-		}
-	}
-	f.endApply()
-	a.noteMutationSkew(name, f)
-	sc.tr.Enter(obs.PhaseEncode)
-	writeJSON(w, http.StatusOK, map[string]any{"inserted": len(keys)})
-	a.recordTrace(name, f, opInsert, codecJSON, &sc.tr)
-}
-
 // splitReq is the optional body of POST /v1/filters/{name}/split; an empty
 // body (or empty object) means "pick the shard and split key for me".
 type splitReq struct {
@@ -636,10 +577,7 @@ func (a *API) handleSplit(w http.ResponseWriter, r *http.Request) {
 	}
 	opt := SplitAuto
 	var req splitReq
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
+	if !decodeOptional(w, r, &req) {
 		return
 	}
 	if req.Shard != nil {
@@ -697,114 +635,4 @@ func (a *API) resetSkewEpisode(name string) {
 	delete(a.skewAlerted, name)
 	delete(a.skewChecked, name)
 	a.skewMu.Unlock()
-}
-
-func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
-	f, ok := a.lookup(w, r)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if isBinaryBatch(r) {
-		a.handleQueryBinary(w, r, f, name)
-		return
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.tr.Start()
-	sc.tr.Enter(obs.PhaseAdmissionWait)
-	if !a.admit(w) {
-		return
-	}
-	defer a.adm.release()
-	defer f.observeLatency(opQuery, codecJSON, time.Now())
-	sc.tr.Enter(obs.PhaseDecode)
-	var req keysReq
-	if !decode(w, r, &req) {
-		return
-	}
-	keys, single, ok := req.keys(w)
-	if !ok {
-		return
-	}
-	out := make([]bool, len(keys))
-	f.mayContainBatchWith(keys, out, sc)
-	sc.tr.Enter(obs.PhaseEncode)
-	if single {
-		writeJSON(w, http.StatusOK, map[string]any{"result": out[0]})
-	} else {
-		writeJSON(w, http.StatusOK, map[string]any{"results": out})
-	}
-	a.recordTrace(name, f, opQuery, codecJSON, &sc.tr)
-}
-
-// rangeReq is one inclusive [lo, hi] interval; either bound order is
-// accepted.
-type rangeReq struct {
-	Lo U64 `json:"lo"`
-	Hi U64 `json:"hi"`
-}
-
-// rangesReq is the single-or-batch range payload: either "lo"+"hi" at the
-// top level, or "ranges".
-type rangesReq struct {
-	Lo     *U64       `json:"lo"`
-	Hi     *U64       `json:"hi"`
-	Ranges []rangeReq `json:"ranges"`
-}
-
-func (a *API) handleQueryRange(w http.ResponseWriter, r *http.Request) {
-	f, ok := a.lookup(w, r)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if isBinaryBatch(r) {
-		a.handleQueryRangeBinary(w, r, f, name)
-		return
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.tr.Start()
-	sc.tr.Enter(obs.PhaseAdmissionWait)
-	if !a.admit(w) {
-		return
-	}
-	defer a.adm.release()
-	defer f.observeLatency(opQueryRange, codecJSON, time.Now())
-	sc.tr.Enter(obs.PhaseDecode)
-	var req rangesReq
-	if !decode(w, r, &req) {
-		return
-	}
-	single := req.Lo != nil || req.Hi != nil
-	if single == (req.Ranges != nil) {
-		writeErr(w, http.StatusBadRequest, `provide either "lo" and "hi", or "ranges"`)
-		return
-	}
-	if single {
-		if req.Lo == nil || req.Hi == nil {
-			writeErr(w, http.StatusBadRequest, `both "lo" and "hi" are required`)
-			return
-		}
-		sc.tr.Enter(obs.PhaseProbe)
-		result := f.MayContainRange(uint64(*req.Lo), uint64(*req.Hi))
-		sc.tr.Enter(obs.PhaseEncode)
-		writeJSON(w, http.StatusOK, map[string]any{"result": result})
-		a.recordTrace(name, f, opQueryRange, codecJSON, &sc.tr)
-		return
-	}
-	if len(req.Ranges) > MaxBatch {
-		writeErr(w, http.StatusBadRequest, "batch of %d ranges exceeds limit %d", len(req.Ranges), MaxBatch)
-		return
-	}
-	ranges := make([][2]uint64, len(req.Ranges))
-	for i, rr := range req.Ranges {
-		ranges[i] = [2]uint64{uint64(rr.Lo), uint64(rr.Hi)}
-	}
-	out := make([]bool, len(ranges))
-	f.mayContainRangeBatchWith(ranges, out, sc)
-	sc.tr.Enter(obs.PhaseEncode)
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
-	a.recordTrace(name, f, opQueryRange, codecJSON, &sc.tr)
 }

@@ -44,6 +44,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -56,8 +57,8 @@ const MaxShards = 256
 
 // MaxFilterBits bounds one filter's total memory (ExpectedKeys·BitsPerKey)
 // to 8 GiB, so a single unauthenticated create request cannot allocate the
-// host into the ground.
-const MaxFilterBits = 1 << 36
+// host into the ground. It is the core's per-filter cap, defined once there.
+const MaxFilterBits = core.MaxTotalBits
 
 // Fan-out thresholds: batches below these sizes run the serial per-shard
 // loop, because spawning goroutines costs more than the work they would
