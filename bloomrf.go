@@ -197,10 +197,16 @@ func (f *Filter) SizeBits() uint64 { return f.inner.SizeBits() }
 // K returns the number of probabilistic layers (hash functions).
 func (f *Filter) K() int { return f.inner.K() }
 
-// MarshalBinary serializes the filter to a compact block.
+// MarshalBinary serializes the filter to a compact block: a header, the
+// raw bit words, and an 8-byte trailer holding a CRC-32C of everything
+// before it (filter block version 2). The words are read straight into
+// the block, with no intermediate copy of the filter.
 func (f *Filter) MarshalBinary() ([]byte, error) { return f.inner.MarshalBinary() }
 
-// Unmarshal reconstructs a filter serialized with MarshalBinary.
+// Unmarshal reconstructs a filter serialized with MarshalBinary, by this
+// or an earlier release: version-2 blocks are verified with CRC-32C and
+// version-1 blocks (written before CRC-32C) with their FNV-1a checksum.
+// A block that fails its checksum, or of an unknown version, is an error.
 func Unmarshal(data []byte) (*Filter, error) {
 	inner, err := core.UnmarshalFilter(data)
 	if err != nil {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -79,14 +81,37 @@ func (b *bitArray) onesCount() uint64 {
 // size returns the capacity in bits.
 func (b *bitArray) size() uint64 { return uint64(len(b.words)) * 64 }
 
-// snapshot returns a copy of the raw storage words (for scatter analysis
-// and serialization).
+// snapshot returns a copy of the raw storage words (for scatter analysis).
 func (b *bitArray) snapshot() []uint64 {
 	out := make([]uint64, len(b.words))
 	for i := range b.words {
 		out[i] = atomic.LoadUint64(&b.words[i])
 	}
 	return out
+}
+
+// appendWords appends the raw storage words to dst, little endian, each
+// loaded atomically: serialization may run concurrently with inserts.
+func (b *bitArray) appendWords(dst []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(b.words))[:n+8*len(b.words)]
+	out := dst[n:]
+	for i := range b.words {
+		binary.LittleEndian.PutUint64(out, atomic.LoadUint64(&b.words[i]))
+		out = out[8:]
+	}
+	return dst
+}
+
+// readWords fills the storage words from the little-endian p and returns
+// the rest of p. p must hold at least 8 bytes per word; the array must not
+// be shared yet.
+func (b *bitArray) readWords(p []byte) []byte {
+	for i := range b.words {
+		b.words[i] = binary.LittleEndian.Uint64(p)
+		p = p[8:]
+	}
+	return p
 }
 
 // lowMask returns a mask of the low n bits, handling n ≥ 64.

@@ -45,6 +45,8 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 	for _, blob := range fuzzSeedBlobs(f) {
 		f.Add(blob)
 	}
+	f.Add(readGolden(f, goldenV1Path))
+	f.Add(withHighTrailer(fuzzSeedBlobs(f)[0], 0x01))
 	f.Add([]byte{})
 	f.Add([]byte("bRF1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -76,17 +78,43 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 	})
 }
 
+// withHighTrailer returns a copy of a version-2 blob whose trailer has b
+// in its most significant byte, the half the CRC-32C does not occupy.
+func withHighTrailer(blob []byte, b byte) []byte {
+	c := append([]byte(nil), blob...)
+	c[len(c)-1] = b
+	return c
+}
+
 // TestUnmarshalRejectsEveryByteFlip corrupts each byte of a valid blob in
 // turn; the trailing checksum must catch every one (a "corrupt blobs must
 // return errors, never silently succeed" guarantee the fuzz target cannot
-// assert because it lacks ground truth).
+// assert because it lacks ground truth). It covers today's version-2
+// blobs, whose CRC-32C detects every burst of up to 32 bits, and the
+// version-1 golden blob, which is still verified with FNV-1a. Every
+// nonzero value in the high half of a version-2 trailer is refused too.
 func TestUnmarshalRejectsEveryByteFlip(t *testing.T) {
-	for _, blob := range fuzzSeedBlobs(t) {
+	blobs := append(fuzzSeedBlobs(t), readGolden(t, goldenV1Path))
+	for _, blob := range blobs {
+		if _, err := UnmarshalFilter(blob); err != nil {
+			t.Fatalf("intact version-%d blob rejected: %v", blob[4], err)
+		}
 		for i := range blob {
 			c := append([]byte(nil), blob...)
 			c[i] ^= 0x5a
 			if _, err := UnmarshalFilter(c); err == nil {
-				t.Fatalf("flip of byte %d/%d not detected", i, len(blob))
+				t.Fatalf("version %d: flip of byte %d/%d not detected", blob[4], i, len(blob))
+			}
+		}
+	}
+	for _, blob := range fuzzSeedBlobs(t) {
+		for i := len(blob) - 4; i < len(blob); i++ {
+			for m := 1; m < 256; m++ {
+				c := append([]byte(nil), blob...)
+				c[i] ^= byte(m)
+				if _, err := UnmarshalFilter(c); err == nil {
+					t.Fatalf("high trailer byte %d ^ %#x not detected", i, m)
+				}
 			}
 		}
 	}

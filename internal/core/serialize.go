@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/hashutil"
 )
@@ -14,18 +15,32 @@ import (
 //	deltas k×u8 | replicas k×u8 | segmentOf k×u8
 //	nsegs u8 | segBits nsegs×u64 | maxScan u32
 //	exactWords u64 | exact payload | per-segment payload
-//	checksum u64 (hash of everything before it)
+//	checksum u64 over everything before it
+//
+// The checksum depends on the version byte, which is read before it is
+// verified:
+//
+//	version 2 (written today): CRC-32C (Castagnoli) in the low 32 bits of
+//	  the trailer; the high 32 bits must be zero
+//	version 1 (read only): FNV-1a with a finalizing mix (hashutil.HashBytes)
+//
+// Both trailers are 8 bytes, so a block's size does not depend on its
+// version. CRC-32C is hardware-accelerated and detects every burst error
+// of up to 32 bits; FNV-1a costs a multiply per byte.
 //
 // Hash seeds are derived deterministically from layer/replica indices, so
 // they are not stored: a deserialized filter probes identical positions.
 // This is the "filter block" format persisted in SSTables (paper §9).
 const (
 	serMagic   = "bRF1"
-	serVersion = 1
+	serVersion = 2
 
 	flagExact   = 1 << 0
 	flagPermute = 1 << 1
 )
+
+// castagnoli is the CRC-32C table of the version-2 trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt is returned when a filter block fails structural or checksum
 // validation.
@@ -34,8 +49,16 @@ var ErrCorrupt = errors.New("core: corrupt filter block")
 // MarshalBinary serializes the filter. Concurrent Insert calls during
 // serialization yield a consistent-enough snapshot for filter semantics
 // (bits may lag, never flip back), but callers that need an exact snapshot
-// should quiesce writers first.
+// should quiesce writers first. The words are loaded atomically straight
+// into the block; no intermediate copy of the bit arrays is made.
 func (f *Filter) MarshalBinary() ([]byte, error) {
+	buf := f.appendBody()
+	return binary.LittleEndian.AppendUint64(buf, uint64(crc32.Checksum(buf, castagnoli))), nil
+}
+
+// appendBody returns the version-2 block up to its checksum trailer, in a
+// buffer with room for the trailer.
+func (f *Filter) appendBody() []byte {
 	k := f.k
 	size := 4 + 4 + 3*k + 1 + 8*len(f.segs) + 4 + 8
 	size += 8 * len(f.exact.words)
@@ -68,32 +91,34 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.maxScan))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(f.exact.words)))
-	for _, w := range f.exact.snapshot() {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
+	buf = f.exact.appendWords(buf)
 	for i := range f.segs {
-		for _, w := range f.segs[i].snapshot() {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
+		buf = f.segs[i].appendWords(buf)
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, hashutil.HashBytes(buf, 0))
-	return buf, nil
+	return buf
 }
 
-// UnmarshalFilter reconstructs a filter from MarshalBinary output.
+// UnmarshalFilter reconstructs a filter from MarshalBinary output of any
+// supported version. The checksum is always verified before the block is
+// parsed.
 func UnmarshalFilter(data []byte) (*Filter, error) {
 	if len(data) < 16+8 || string(data[:4]) != serMagic {
 		return nil, ErrCorrupt
 	}
 	body, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
-	if hashutil.HashBytes(body, 0) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	r := &byteReader{data: body[4:]}
-	version, _ := r.u8()
-	if version != serVersion {
+	switch version := body[4]; version {
+	case 1:
+		if hashutil.HashBytes(body, 0) != sum {
+			return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		}
+	case 2:
+		if sum>>32 != 0 || uint64(crc32.Checksum(body, castagnoli)) != sum {
+			return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		}
+	default:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
 	}
+	r := &byteReader{data: body[5:]}
 	domain, _ := r.u8()
 	k, _ := r.u8()
 	flags, err := r.u8()
@@ -144,28 +169,39 @@ func UnmarshalFilter(data []byte) (*Filter, error) {
 		return nil, ErrCorrupt
 	}
 	cfg.MaxScanGroups = int(maxScan)
+	exactWords, err := r.u64()
+	if err != nil {
+		return nil, ErrCorrupt
+	}
+	// The payload must be exactly the words of the exact layer and of every
+	// segment. This one check covers every word read below, and it runs
+	// before New allocates them, so a block never makes the decoder
+	// allocate more filter words than it carries.
+	words := uint64(r.len() / 8)
+	if r.len()%8 != 0 || exactWords > words {
+		return nil, fmt.Errorf("%w: payload length", ErrCorrupt)
+	}
+	words -= exactWords
+	for _, b := range cfg.SegBits {
+		if b/64 > words {
+			return nil, fmt.Errorf("%w: payload length", ErrCorrupt)
+		}
+		words -= b / 64
+	}
+	if words != 0 {
+		return nil, fmt.Errorf("%w: payload length", ErrCorrupt)
+	}
 	f, err := New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	exactWords, err := r.u64()
-	if err != nil || exactWords != uint64(len(f.exact.words)) {
+	if exactWords != uint64(len(f.exact.words)) {
 		return nil, ErrCorrupt
 	}
-	for i := uint64(0); i < exactWords; i++ {
-		if f.exact.words[i], err = r.u64(); err != nil {
-			return nil, ErrCorrupt
-		}
-	}
+	p := r.data[r.off:]
+	p = f.exact.readWords(p)
 	for s := range f.segs {
-		for i := range f.segs[s].words {
-			if f.segs[s].words[i], err = r.u64(); err != nil {
-				return nil, ErrCorrupt
-			}
-		}
-	}
-	if r.len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.len())
+		p = f.segs[s].readWords(p)
 	}
 	return f, nil
 }

@@ -17,6 +17,21 @@ func goldenV1Keys() []uint64 {
 	return keys
 }
 
+// assertBlockVersion checks that every shard blob of name's newest
+// snapshot in st is a bloomRF filter block of the given format version.
+func assertBlockVersion(t *testing.T, st *Store, name string, want byte) {
+	t.Helper()
+	_, blobs, err := st.ReadSnapshot(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range blobs {
+		if len(b) < 5 || string(b[:4]) != "bRF1" || b[4] != want {
+			t.Fatalf("%s shard %d: not a version-%d filter block (header % x)", name, i, want, b[:min(len(b), 5)])
+		}
+	}
+}
+
 // TestGoldenV1SnapshotRestore restores the checked-in hash-era snapshot
 // (manifest format_version 1, written before the partitioning record and
 // per-shard key counts existed) into the current code: the filter must come
@@ -79,6 +94,8 @@ func TestGoldenV1SnapshotRestore(t *testing.T) {
 	if man2.FormatVersion != manifestVersion || man2.Options.Partitioning != PartitionHash {
 		t.Fatalf("re-snapshot manifest = %+v", man2)
 	}
+	assertBlockVersion(t, st, "users", 1)  // the fixture's blobs are version-1 filter blocks
+	assertBlockVersion(t, st3, "users", 2) // re-written blobs are version 2
 	g, _, err := st3.Restore("users")
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +157,8 @@ func TestGoldenV2SnapshotRestore(t *testing.T) {
 	if man2.FormatVersion != manifestVersion || man2.Options.Partitioning != PartitionRange {
 		t.Fatalf("re-snapshot manifest = %+v", man2)
 	}
+	assertBlockVersion(t, st, "events", 1)  // the fixture's blobs are version-1 filter blocks
+	assertBlockVersion(t, st3, "events", 2) // re-written blobs are version 2
 	g, _, err := st3.Restore("events")
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +219,8 @@ func TestGoldenV3SnapshotRestore(t *testing.T) {
 		man2.Options.Partitioning != PartitionRange {
 		t.Fatalf("re-snapshot manifest = %+v", man2)
 	}
+	assertBlockVersion(t, st, "sessions", 1)  // the fixture's blobs are version-1 filter blocks
+	assertBlockVersion(t, st3, "sessions", 2) // re-written blobs are version 2
 	g, _, err := st3.Restore("sessions")
 	if err != nil {
 		t.Fatal(err)
@@ -389,6 +410,8 @@ func TestGoldenV4SnapshotRestore(t *testing.T) {
 	if man2.FormatVersion != manifestVersion || len(man2.Spans) != 4 {
 		t.Fatalf("re-snapshot manifest = %+v", man2)
 	}
+	assertBlockVersion(t, st, "orders", 1)  // the fixture's blobs are version-1 filter blocks
+	assertBlockVersion(t, st3, "orders", 2) // re-written blobs are version 2
 	g, _, err := st3.Restore("orders")
 	if err != nil {
 		t.Fatal(err)
@@ -448,6 +471,8 @@ func TestGoldenV5SnapshotRestore(t *testing.T) {
 	if man2.FormatVersion != manifestVersion || man2.Epoch != 1 || len(man2.Spans) != 4 {
 		t.Fatalf("re-snapshot manifest = %+v", man2)
 	}
+	assertBlockVersion(t, st, "ledger", 1)  // the fixture's blobs are version-1 filter blocks
+	assertBlockVersion(t, st2, "ledger", 2) // re-written blobs are version 2
 	g, _, err := st2.Restore("ledger")
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -635,25 +636,31 @@ func (st *Store) restoreSnap(name string, man *Manifest) (*ShardedFilter, error)
 // restoreFromBlobs rebuilds a filter from a manifest plus its shard blobs,
 // wherever they came from — snapshot files (restoreSnap) or a replication
 // bootstrap stream (Follower). Every blob is verified against the
-// manifest's size and CRC before being trusted.
+// manifest's size and CRC before being trusted. Shards are verified and
+// decoded concurrently on at most GOMAXPROCS workers; on failure the error
+// of the lowest-numbered failing shard is returned, as a serial loop would.
 func restoreFromBlobs(man *Manifest, blobs [][]byte) (*ShardedFilter, error) {
 	if len(blobs) != len(man.Shards) {
 		return nil, fmt.Errorf("%d blobs for %d manifest shards", len(blobs), len(man.Shards))
 	}
 	shards := make([]shardFilter, len(man.Shards))
-	for i, ent := range man.Shards {
-		blob := blobs[i]
-		if int64(len(blob)) != ent.Bytes {
-			return nil, fmt.Errorf("shard %d: %d bytes, manifest says %d", i, len(blob), ent.Bytes)
-		}
-		if crc := crc32.Checksum(blob, castagnoli); crc != ent.CRC32C {
-			return nil, fmt.Errorf("shard %d: CRC mismatch %08x != %08x", i, crc, ent.CRC32C)
-		}
-		f, err := unmarshalShardFilter(man.Options.Backend, blob)
+	errs := make([]error, len(man.Shards))
+	workers := min(runtime.GOMAXPROCS(0), len(shards))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(shards); i += workers {
+				shards[i], errs[i] = restoreShard(man.Options.Backend, man.Shards[i], blobs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		shards[i] = f
 	}
 	shardKeys := make([]uint64, len(man.Shards))
 	for i, ent := range man.Shards {
@@ -665,6 +672,18 @@ func restoreFromBlobs(man *Manifest, blobs [][]byte) (*ShardedFilter, error) {
 	}
 	f.setSnapshotInfo(SnapshotInfo{Seq: man.Seq, UnixNano: man.CreatedUnix, Bytes: man.totalBytes(), WALPos: man.WALPos})
 	return f, nil
+}
+
+// restoreShard verifies one shard blob against its manifest entry (size,
+// then CRC) and decodes it, which verifies the blob's own checksum.
+func restoreShard(backend string, ent ShardEntry, blob []byte) (shardFilter, error) {
+	if int64(len(blob)) != ent.Bytes {
+		return nil, fmt.Errorf("%d bytes, manifest says %d", len(blob), ent.Bytes)
+	}
+	if crc := crc32.Checksum(blob, castagnoli); crc != ent.CRC32C {
+		return nil, fmt.Errorf("CRC mismatch %08x != %08x", crc, ent.CRC32C)
+	}
+	return unmarshalShardFilter(backend, blob)
 }
 
 // ReadSnapshot returns the newest intact snapshot of name as its manifest

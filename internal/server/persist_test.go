@@ -3,11 +3,13 @@ package server
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -215,6 +217,83 @@ func TestRestoreFallsBackOnCorruptBlob(t *testing.T) {
 		t.Fatalf("restored seq %d, want fallback to 1", man.Seq)
 	}
 	assertIdenticalAnswers(t, frozen, g, keys, 43)
+}
+
+// TestParallelRestoreReportsLowestShard corrupts shards 1 and 3 of a
+// 4-shard snapshot. Shards are verified and decoded concurrently, yet
+// restore must fail exactly as a serial loop would: the error names shard
+// 1, whichever worker finished first, and Store.Restore falls back to the
+// previous snapshot. It covers both checks a corrupt blob can fail: the
+// manifest CRC, and, with the manifest CRCs matching the corrupt bytes,
+// the filter block's own checksum.
+func TestParallelRestoreReportsLowestShard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // one worker per shard
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewSharded(FilterOptions{ExpectedKeys: 20_000, BitsPerKey: 16, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := fillRandom(f, 5_000, 44)
+	if _, err := st.Snapshot("users", f); err != nil {
+		t.Fatal(err)
+	}
+	frozen, _, err := st.Restore("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRandom(f, 5_000, 45)
+	if _, err := st.Snapshot("users", f); err != nil {
+		t.Fatal(err)
+	}
+
+	man := st.loadManifest("users", 2)
+	if man == nil {
+		t.Fatal("snapshot 2 has no manifest")
+	}
+	snapDir := filepath.Join(st.filterDir("users"), snapDirName(2))
+	blobs := make([][]byte, len(man.Shards))
+	for i, ent := range man.Shards {
+		if blobs[i], err = os.ReadFile(filepath.Join(snapDir, ent.File)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 || i == 3 {
+			blobs[i][len(blobs[i])/2] ^= 0xff
+			if err := os.WriteFile(filepath.Join(snapDir, ent.File), blobs[i], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	g, got, err := st.Restore("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != 1 {
+		t.Fatalf("restored seq %d, want fallback to 1", got.Seq)
+	}
+	assertIdenticalAnswers(t, frozen, g, keys, 46)
+
+	resealed := *man
+	resealed.Shards = append([]ShardEntry(nil), man.Shards...)
+	for i := range resealed.Shards {
+		resealed.Shards[i].CRC32C = crc32.Checksum(blobs[i], castagnoli)
+	}
+	for _, tc := range []struct {
+		man  *Manifest
+		want string
+	}{
+		{man, "shard 1: CRC mismatch"},
+		{&resealed, "shard 1: core: corrupt filter block: checksum mismatch"},
+	} {
+		for range 20 {
+			if _, err := restoreFromBlobs(tc.man, blobs); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("restoreFromBlobs = %v, want an error starting %q", err, tc.want)
+			}
+		}
+	}
 }
 
 // TestRestoreErrors pins ErrNoSnapshot for unknown and empty filters.

@@ -124,6 +124,7 @@ type Log struct {
 	appendClosed bool         // read and written only under closeMu
 	appendCh     chan *appendReq
 	written      chan struct{} // writer goroutine exited
+	closeErr     error         // final fsync or file close; set before written closes
 	stopSync     chan struct{} // stops the interval-sync goroutine
 	syncDone     chan struct{}
 
@@ -442,12 +443,23 @@ func (l *Log) writeLoop() {
 		}
 		l.commit(batch, buf[:0])
 	}
-	// Close drained the channel; flush state and close the file.
+	// Close drained the channel; fsync and close the file. The durable
+	// mark advances only if the fsync succeeded.
 	l.mu.Lock()
 	if l.active != nil {
-		_ = l.active.Sync()
-		l.durable.Store(l.committed.Load())
-		_ = l.active.Close()
+		c := l.committed.Load()
+		err := faults.Do("wal.fsync")
+		if err == nil {
+			err = l.timedSync()
+		}
+		if err == nil {
+			l.durable.Store(c)
+		} else {
+			l.closeErr = fmt.Errorf("wal: fsync: %w", err)
+		}
+		if err := l.active.Close(); err != nil && l.closeErr == nil {
+			l.closeErr = fmt.Errorf("wal: close: %w", err)
+		}
 		l.active = nil
 	}
 	l.mu.Unlock()
@@ -676,6 +688,8 @@ func (l *Log) WaitFor(ctx context.Context, pos uint64) error {
 
 // Close stops accepting appends, flushes and fsyncs what was queued, and
 // closes the active segment. Queued appends are committed, not dropped.
+// It returns the error of the final fsync or of closing the segment; after
+// a failed fsync, Durable stays where it was.
 func (l *Log) Close() error {
 	l.closeMu.Lock()
 	if l.appendClosed {
@@ -695,7 +709,7 @@ func (l *Log) Close() error {
 	close(l.notify)
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
-	return nil
+	return l.closeErr
 }
 
 // segmentFor returns the metadata of the segment containing pos and

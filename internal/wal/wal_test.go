@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
 )
 
 // openT opens a log in dir with test-friendly small segments.
@@ -423,6 +425,27 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("double Close = %v", err)
+	}
+}
+
+// TestCloseReportsFailedFsync pins Close's final fsync: when it fails,
+// Close returns the error and the durable mark does not advance over the
+// records it failed to persist.
+func TestCloseReportsFailedFsync(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), Policy: SyncNone, SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(Record{Type: 1, Data: []byte("unsynced")}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faults.Reset)
+	faults.Arm("wal.fsync", faults.Action{Err: errors.New("injected fsync failure")})
+	if err := l.Close(); err == nil {
+		t.Fatal("Close reported success after a failed final fsync")
+	}
+	if l.Durable() >= l.End() {
+		t.Fatalf("durable %d advanced to end %d over a failed fsync", l.Durable(), l.End())
 	}
 }
 

@@ -5,10 +5,11 @@
 // TestGoldenV1SnapshotRestore to pin that snapshots written before the
 // partitioner abstraction stay restorable.
 //
-// It only needs re-running if the filter block format itself changes (which
-// the golden blob in internal/core/testdata guards separately); the
-// manifest bytes are written from literal v1 structs with a fixed
-// timestamp, so regeneration is deterministic.
+// The checked-in shard blobs are version-1 filter blocks (FNV-1a trailer).
+// Do not regenerate the fixture: the blobs come from today's encoder, so a
+// re-run would replace them with version-2 blocks and drop the fixture's
+// coverage of version-1 blocks. The manifest bytes are written from
+// literal v1 structs with a fixed timestamp.
 //
 //	go run ./scripts/gen_golden_v1
 package main

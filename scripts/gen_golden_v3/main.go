@@ -6,10 +6,11 @@
 // snapshots written before backend selection existed stay restorable and
 // come back as bloomRF filters.
 //
-// It only needs re-running if the filter block format itself changes (which
-// the golden blob in internal/core/testdata guards separately); the
-// manifest bytes are written from literal v3 structs with a fixed
-// timestamp, so regeneration is deterministic.
+// The checked-in shard blobs are version-1 filter blocks (FNV-1a trailer).
+// Do not regenerate the fixture: the blobs come from today's encoder, so a
+// re-run would replace them with version-2 blocks and drop the fixture's
+// coverage of version-1 blocks. The manifest bytes are written from
+// literal v3 structs with a fixed timestamp.
 //
 //	go run ./scripts/gen_golden_v3
 package main

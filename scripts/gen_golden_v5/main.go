@@ -7,10 +7,11 @@
 // before failover existed stay restorable and re-snapshot as v6 with an
 // epoch recorded.
 //
-// It only needs re-running if the filter block format itself changes (which
-// the golden blob in internal/core/testdata guards separately); the
-// manifest bytes are written from literal v5 structs with a fixed
-// timestamp, so regeneration is deterministic.
+// The checked-in shard blobs are version-1 filter blocks (FNV-1a trailer).
+// Do not regenerate the fixture: the blobs come from today's encoder, so a
+// re-run would replace them with version-2 blocks and drop the fixture's
+// coverage of version-1 blocks. The manifest bytes are written from
+// literal v5 structs with a fixed timestamp.
 //
 //	go run ./scripts/gen_golden_v5
 package main
@@ -117,7 +118,7 @@ func main() {
 			File:   filepath.Base(file),
 			Bytes:  int64(len(blob)),
 			CRC32C: crc32.Checksum(blob, castagnoli),
-			Keys: st.ShardKeys[i],
+			Keys:   st.ShardKeys[i],
 			// v5 writers record the shard's live mutation epoch; restore
 			// ignores the value, so the fixture freezes a plausible one.
 			Mut: 1,
